@@ -12,18 +12,26 @@
 //!    run before protocol traffic exists.
 //! 2. **Start** — each accepted worker receives its [`WorkerConfig`]
 //!    (workload, timing, seed, crash window, shared CS-log path).
-//! 3. **Serve** — a nonblocking sweep loop routes `Send` frames through
-//!    the same `FaultQueue` (in `transport::netq`) the in-process network
-//!    thread uses, so
-//!    loss/duplication/straggler/crash-window semantics are identical
-//!    across backends. Mutual exclusion is checked *post hoc* by replaying
-//!    the shared append-only CS log ([`crate::replay_cs_log`]) — workers
+//! 3. **Serve** — one blocking reader thread per worker socket decodes
+//!    frames into a single channel. The serve loop has the in-process
+//!    network thread's shape: deliver what is due, then block on that
+//!    channel until a frame arrives or the next due delivery, the
+//!    kill-drill instant or the deadline comes. `Send` frames go through
+//!    the same `FaultQueue` (in `transport::netq`) the network thread
+//!    uses, so loss/duplication/straggler/crash-window semantics are
+//!    identical across backends. Deliveries are blocking writes whose
+//!    timeout never reaches past the run deadline, so a worker that stops
+//!    reading costs at most one socket buffer and ends the run in a
+//!    verdict. Mutual exclusion is checked *post hoc* by replaying the
+//!    shared append-only CS log ([`crate::replay_cs_log`]) — workers
 //!    write entry/exit records from inside the CS, and the kernel's
 //!    `O_APPEND` serialization makes interleaved records a faithful
 //!    witness of real overlap.
 //! 4. **Shutdown** — when every worker has announced `Done` the hub
 //!    broadcasts `Shutdown`, collects per-node `Report` frames, kills
-//!    stragglers at the watchdog deadline, and reaps every child.
+//!    stragglers at the watchdog deadline, and reaps every child. Every
+//!    socket is then shut down and its reader thread joined, so no thread
+//!    outlives the run.
 //!
 //! A worker that disappears (EOF) before reporting is a **crash verdict**:
 //! the run is not clean even if the log shows no overlap.
@@ -33,6 +41,8 @@ use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::Child;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -46,7 +56,7 @@ use crate::node::{NodeDriver, NodeParams};
 use crate::transport::frame::{
     encode_frame, validate_hello, CtrlFrame, FrameBuf, WorkerConfig, WorkerReport,
 };
-use crate::transport::socket::{is_timeout, SocketStream};
+use crate::transport::socket::{is_timeout, spawn_reader, Inbound, SocketStream};
 use crate::transport::{SocketNet, SocketTransport};
 use crate::watchdog::StatusCell;
 use crate::wire::WireCodec;
@@ -83,7 +93,8 @@ pub struct ProcessSpec {
     /// Retransmission policy forwarded to workers (RCV only).
     pub retry: Option<RetryPolicy>,
     /// Fault-drill: kill worker `node`'s process this long after `Start`,
-    /// to prove the hub returns a crash verdict instead of hanging.
+    /// to prove the hub returns a crash verdict instead of hanging. The
+    /// hub does not end the run before the drill has fired.
     pub kill_worker: Option<(u32, Duration)>,
 }
 
@@ -259,9 +270,6 @@ impl Drop for Listener {
 /// One connected worker as the hub sees it.
 struct Slot {
     stream: SocketStream,
-    fb: FrameBuf,
-    /// Bytes queued toward the worker (nonblocking writes may be short).
-    outbuf: Vec<u8>,
     done: bool,
     report: Option<WorkerReport>,
     /// The read side is drained (EOF or read error); nothing more will
@@ -276,32 +284,36 @@ struct Slot {
 }
 
 impl Slot {
-    /// Flushes as much queued output as the socket accepts right now.
-    fn flush(&mut self) {
-        while !self.outbuf.is_empty() && !self.wedged {
-            match self.stream.write_some(&self.outbuf) {
-                Ok(0) => {
-                    self.wedged = true;
-                    return;
-                }
-                Ok(n) => {
-                    self.outbuf.drain(..n);
-                }
-                Err(e) if is_timeout(&e) => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.wedged = true;
-                    return;
-                }
-            }
+    /// Writes one frame toward the worker. The write blocks while the
+    /// worker's socket buffer is full, but not past the run deadline; a
+    /// failed or timed-out write marks the worker wedged.
+    fn send(&mut self, frame: &CtrlFrame, deadline: Instant) {
+        if self.wedged || self.eof {
+            return;
+        }
+        // The kernel times each write from its own start, so the timeout
+        // is set afresh to whatever is left of the run.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let sent = self
+            .stream
+            .set_write_timeout(Some(left.max(Duration::from_millis(1))))
+            .and_then(|()| self.stream.write_all_bytes(encode_frame(frame).as_ref()));
+        if sent.is_err() {
+            self.wedged = true;
         }
     }
+}
 
-    fn queue(&mut self, frame: &CtrlFrame) {
-        if self.wedged {
-            return; // peer gone: don't grow the buffer forever
+/// Shuts every worker socket down, which wakes its reader thread with
+/// EOF, and joins the readers.
+fn close(slots: &[Slot], readers: Vec<JoinHandle<()>>) {
+    for slot in slots {
+        slot.stream.shutdown();
+    }
+    for reader in readers {
+        if let Err(panic) = reader.join() {
+            std::panic::resume_unwind(panic);
         }
-        self.outbuf.extend_from_slice(encode_frame(frame).as_ref());
     }
 }
 
@@ -375,12 +387,12 @@ pub fn run_process_cluster(
     status.set("handshaking");
     let handshake_deadline = Instant::now() + spec.timeout;
     listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-    let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
+    let mut accepted: Vec<Option<(SocketStream, FrameBuf)>> = (0..n).map(|_| None).collect();
     let mut connected = 0usize;
     while connected < n {
         if Instant::now() >= handshake_deadline {
             kill_children(&mut children);
-            let missing: Vec<usize> = slots
+            let missing: Vec<usize> = accepted
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.is_none())
@@ -408,18 +420,10 @@ pub fn run_process_cluster(
                 return Err(format!("worker handshake: {e}"));
             }
         };
-        let taken: Vec<bool> = slots.iter().map(|s| s.is_some()).collect();
+        let taken: Vec<bool> = accepted.iter().map(|s| s.is_some()).collect();
         match validate_hello(&hello, n as u32, &spec.protocol, &taken) {
             Ok(node) => {
-                slots[node as usize] = Some(Slot {
-                    stream,
-                    fb,
-                    outbuf: Vec::new(),
-                    done: false,
-                    report: None,
-                    eof: false,
-                    wedged: false,
-                });
+                accepted[node as usize] = Some((stream, fb));
                 connected += 1;
             }
             Err(reason) => {
@@ -434,17 +438,16 @@ pub fn run_process_cluster(
             }
         }
     }
-    let mut slots: Vec<Slot> = slots
-        .into_iter()
-        .map(|s| s.expect("all connected"))
-        .collect();
 
-    // --- Start: derive per-node seeds exactly like the thread backend
-    // and ship each worker its configuration (blocking writes; the
-    // sockets go nonblocking only for the serve loop). ---
+    // --- Start: derive per-node seeds exactly like the thread backend,
+    // ship each worker its configuration, and start its reader. ---
     let mut seeder = SmallRng::seed_from_u64(spec.seed);
     let seeds: Vec<u64> = (0..n).map(|_| seeder.gen()).collect();
-    for (i, slot) in slots.iter_mut().enumerate() {
+    let (tx, rx) = mpsc::channel::<(usize, Inbound)>();
+    let mut slots: Vec<Slot> = Vec::with_capacity(n);
+    let mut readers: Vec<JoinHandle<()>> = Vec::with_capacity(n);
+    for (i, conn) in accepted.into_iter().enumerate() {
+        let (mut stream, fb) = conn.expect("all connected");
         let cfg = WorkerConfig {
             algo: spec.protocol.clone(),
             node: i as u32,
@@ -464,20 +467,35 @@ pub fn run_process_cluster(
             restartable: spec.faults.crash_restart.is_some(),
             cs_log: cs_log.display().to_string(),
         };
-        if let Err(e) = slot
-            .stream
+        let started = stream
             .write_all_bytes(encode_frame(&CtrlFrame::Start(Box::new(cfg))).as_ref())
-        {
-            kill_children(&mut children);
-            return Err(format!("start node {i}: {e}"));
+            .and_then(|()| stream.try_clone())
+            .and_then(|reader_end| {
+                let name = format!("rcv-hub-reader-{i}");
+                spawn_reader(name, reader_end, fb, tx.clone(), move |e| (i, e))
+            });
+        match started {
+            Ok(reader) => readers.push(reader),
+            Err(e) => {
+                kill_children(&mut children);
+                close(&slots, readers);
+                return Err(format!("start node {i}: {e}"));
+            }
         }
-        if let Err(e) = slot.stream.set_nonblocking(true) {
-            kill_children(&mut children);
-            return Err(format!("nonblocking node {i}: {e}"));
-        }
+        slots.push(Slot {
+            stream,
+            done: false,
+            report: None,
+            eof: false,
+            wedged: false,
+        });
     }
+    // Only the readers hold senders now: the channel disconnects exactly
+    // when every one of them has said its last word.
+    drop(tx);
 
-    // --- Serve: sweep loop over all sockets. ---
+    // --- Serve: deliver what is due, then wait for the next frame or the
+    // next instant something is due. ---
     status.set("serving");
     let t0 = Instant::now();
     let deadline = t0 + spec.timeout;
@@ -486,22 +504,23 @@ pub fn run_process_cluster(
         .faults
         .crash_restart
         .map(|(node, down, up)| (node as usize, t0 + tickify(down), t0 + tickify(up)));
+    let mut kill_at = spec
+        .kill_worker
+        .map(|(victim, after)| (victim as usize, t0 + after));
     let mut q: FaultQueueBytes = crate::transport::netq::FaultQueue::new(spec.faults, crash_win);
     let mut faults: Vec<(u32, String)> = Vec::new();
     let mut shutdown_sent = false;
     let mut timed_out = false;
-    let mut killed = false;
-    let mut read_buf = vec![0u8; 64 * 1024];
     loop {
         let now = Instant::now();
         if now >= deadline {
             timed_out = true;
             break;
         }
-        if let Some((victim, after)) = spec.kill_worker {
-            if !killed && now >= t0 + after {
-                killed = true;
-                if let Some(child) = children.get_mut(victim as usize) {
+        if let Some((victim, at)) = kill_at {
+            if now >= at {
+                kill_at = None;
+                if let Some(child) = children.get_mut(victim) {
                     let _ = child.kill();
                 }
             }
@@ -509,84 +528,74 @@ pub fn run_process_cluster(
 
         // Deliver everything due (encode once per delivery; the payload
         // bytes are routed without protocol knowledge).
-        while let Some((from, to, payload)) = q.pop_due(Instant::now()) {
+        while let Some((from, to, payload)) = q.pop_due(now) {
             status.bump();
-            slots[to].queue(&CtrlFrame::Deliver {
+            let frame = CtrlFrame::Deliver {
                 from: from as u32,
                 payload,
-            });
+            };
+            slots[to].send(&frame, deadline);
         }
 
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.eof {
-                continue;
-            }
-            slot.flush();
-            // Drain the socket.
-            loop {
-                if slot.eof {
-                    break;
-                }
-                match slot.stream.read_chunk(&mut read_buf) {
-                    Ok(0) => slot.eof = true,
-                    Ok(nread) => {
-                        slot.fb.extend(&read_buf[..nread]);
-                        if nread < read_buf.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if is_timeout(&e) => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => slot.eof = true,
-                }
-            }
-            // Process buffered frames (also after EOF: the worker may have
-            // written its report and exited before the hub read it).
-            loop {
-                match slot.fb.next_frame() {
-                    Ok(Some(CtrlFrame::Send {
-                        to,
-                        delay_us,
-                        payload,
-                    })) => {
-                        if (to as usize) < n {
-                            q.submit(i, to as usize, Duration::from_micros(delay_us), payload);
-                        }
-                    }
-                    Ok(Some(CtrlFrame::Done { .. })) => slot.done = true,
-                    Ok(Some(CtrlFrame::Report(r))) => slot.report = Some(r),
-                    Ok(Some(CtrlFrame::Fault { node, detail })) => faults.push((node, detail)),
-                    // Hub-bound frames only; anything else is a confused
-                    // worker. Ignore rather than wedge the cluster.
-                    Ok(Some(_)) => {}
-                    Ok(None) => break,
-                    Err(e) => {
-                        faults.push((i as u32, e.to_string()));
-                        slot.eof = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if !shutdown_sent && slots.iter().all(|s| s.done || s.eof) {
+        // An armed kill drill holds the final Shutdown until it has fired:
+        // the victim must die before it can report, however fast the run.
+        if !shutdown_sent && kill_at.is_none() && slots.iter().all(|s| s.done || s.eof) {
             shutdown_sent = true;
             status.set("shutting down");
             for slot in slots.iter_mut() {
-                if !slot.eof {
-                    slot.queue(&CtrlFrame::Shutdown);
-                }
+                slot.send(&CtrlFrame::Shutdown, deadline);
             }
         }
         if shutdown_sent && slots.iter().all(|s| s.report.is_some() || s.eof) {
             break;
         }
-        std::thread::sleep(Duration::from_micros(200));
+
+        let wake = [q.next_due(), kill_at.map(|(_, at)| at), Some(deadline)]
+            .into_iter()
+            .flatten()
+            .min()
+            .expect("the deadline is always set");
+        let (i, event) = match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+            Ok(got) => got,
+            Err(RecvTimeoutError::Timeout) => continue,
+            // Every reader has exited, normally after its final event; one
+            // that died without it leaves its worker silent for good.
+            Err(RecvTimeoutError::Disconnected) => {
+                slots.iter_mut().for_each(|s| s.eof = true);
+                continue;
+            }
+        };
+        let slot = &mut slots[i];
+        match event {
+            Inbound::Frame(CtrlFrame::Send {
+                to,
+                delay_us,
+                payload,
+            }) => {
+                if (to as usize) < n {
+                    q.submit(i, to as usize, Duration::from_micros(delay_us), payload);
+                }
+            }
+            Inbound::Frame(CtrlFrame::Done { .. }) => slot.done = true,
+            Inbound::Frame(CtrlFrame::Report(r)) => slot.report = Some(r),
+            Inbound::Frame(CtrlFrame::Fault { node, detail }) => faults.push((node, detail)),
+            // Hub-bound frames only; anything else is a confused worker.
+            // Ignore rather than wedge the cluster.
+            Inbound::Frame(_) => {}
+            Inbound::Corrupt(e) => {
+                faults.push((i as u32, e.to_string()));
+                slot.eof = true;
+            }
+            // Frames the worker wrote before closing (its report) arrived
+            // ahead of this on the same channel.
+            Inbound::Closed => slot.eof = true,
+        }
     }
 
     // --- Teardown. ---
     status.set("collecting");
     kill_children(&mut children);
+    close(&slots, readers);
     drop(listener);
     // A missing log means no worker ever entered the CS (instant crash).
     let (cs_entries, violations) = replay_cs_log(&cs_log).unwrap_or_default();
@@ -682,7 +691,8 @@ where
             .crash
             .map(|(down, up)| (start + tickify(down), start + tickify(up))),
     };
-    let transport: SocketTransport<P::Message> = SocketTransport::new(me, stream, fb);
+    let transport: SocketTransport<P::Message> =
+        SocketTransport::new(me, stream, fb).map_err(|e| format!("reader: {e}"))?;
     let driver = NodeDriver::new(
         me,
         proto,
@@ -713,6 +723,15 @@ mod tests {
     use super::*;
     use rcv_baselines::lamport::Lamport;
 
+    /// Lamport's algorithm assumes FIFO links; random delays let a
+    /// release overtake its request and stall the cluster. A constant
+    /// delay keeps every link in order (the collapse `rcv_workload`
+    /// applies to every FIFO algorithm on the real tiers).
+    fn fifo_delay() -> NetDelay {
+        let d = Duration::from_millis(1);
+        NetDelay::Uniform { min: d, max: d }
+    }
+
     /// Drives a full cluster where the "processes" are threads calling
     /// [`run_worker`] over real Unix-domain sockets — every layer of the
     /// process tier except `fork`/`exec` itself.
@@ -720,6 +739,7 @@ mod tests {
     fn uds_cluster_of_thread_workers_is_clean() {
         let spec = ProcessSpec::quick(3, 7, "lamport")
             .rounds(2)
+            .delay(fifo_delay())
             .timeout(Duration::from_secs(20));
         let mut workers = Vec::new();
         let report = run_process_cluster(&spec, |addr| {
@@ -750,6 +770,7 @@ mod tests {
     fn tcp_cluster_of_thread_workers_is_clean() {
         let spec = ProcessSpec::quick(2, 11, "lamport")
             .net(SocketNet::Tcp)
+            .delay(fifo_delay())
             .timeout(Duration::from_secs(20));
         let mut workers = Vec::new();
         let report = run_process_cluster(&spec, |addr| {
@@ -807,6 +828,58 @@ mod tests {
         assert!(err.contains("schema version mismatch"), "{err}");
         let reason = worker.unwrap().join().expect("fake worker");
         assert!(reason.contains("schema version mismatch"), "{reason}");
+    }
+
+    /// A worker that handshakes, then floods the hub with messages to
+    /// itself and never reads them (nor sends `Done`). The hub's
+    /// deliveries fill the socket buffer and block, but only up to the
+    /// deadline: the run ends in a verdict, with no unbounded queue toward
+    /// the worker and no hang (the watchdog turns a hang into a failure).
+    #[test]
+    fn worker_that_never_reads_ends_in_a_timed_out_verdict() {
+        use crate::transport::frame::hello;
+        let timeout = Duration::from_secs(1);
+        let (report, took) =
+            crate::watchdog::run_with_watchdog("never-reads", Duration::from_secs(20), move || {
+                let spec = ProcessSpec::quick(1, 5, "rcv").timeout(timeout);
+                let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
+                let mut worker = None;
+                let t0 = Instant::now();
+                let report = run_process_cluster(&spec, |addr| {
+                    let addr = addr.to_string();
+                    worker = Some(std::thread::spawn(move || {
+                        let mut s = SocketStream::connect(&addr).expect("connect");
+                        s.write_all_bytes(encode_frame(&hello(0, "rcv")).as_ref())
+                            .expect("hello");
+                        let mut fb = FrameBuf::new();
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        let start = read_frame_blocking(&mut s, &mut fb, deadline);
+                        assert!(matches!(start, Ok(CtrlFrame::Start(_))), "{start:?}");
+                        // 4 MiB of deliveries for ourselves: far beyond
+                        // any socket buffer.
+                        let flood = encode_frame(&CtrlFrame::Send {
+                            to: 0,
+                            delay_us: 0,
+                            payload: Bytes::from(vec![7u8; 16 * 1024]),
+                        });
+                        for _ in 0..256 {
+                            if s.write_all_bytes(flood.as_ref()).is_err() {
+                                break;
+                            }
+                        }
+                        let _ = stop_rx.recv();
+                    }));
+                    Ok(Vec::new())
+                })
+                .expect("cluster starts");
+                let took = t0.elapsed();
+                let _ = stop_tx.send(());
+                worker.unwrap().join().expect("fake worker");
+                (report, took)
+            });
+        assert!(report.report.timed_out, "{report:?}");
+        assert!(!report.is_clean(1));
+        assert!(took < timeout + Duration::from_secs(1), "took {took:?}");
     }
 
     #[test]

@@ -16,11 +16,17 @@
 //!   and the hub applies the same [`WireFaults`](crate::cluster::WireFaults)
 //!   at the socket boundary.
 //!
+//! Both fabrics wait the same way: on a channel with `recv_timeout`. On
+//! the socket fabric a blocking reader thread per socket, on each end,
+//! turns the byte stream into frames on such a channel.
+//!
 //! ```text
 //!                Transport::send / recv / notify_done
 //!                      │                      │
 //!            ChanTransport              SocketTransport
-//!                      │                      │
+//!                      │            write_all ↓   ↑ reader thread → channel
+//!                      │              socket (UDS / TCP), one per worker
+//!                      │  channel ← reader thread ↓   ↑ write_all
 //!          network thread (threads)    orchestrator hub (processes)
 //!              FaultQueue ─────────────── FaultQueue
 //! ```

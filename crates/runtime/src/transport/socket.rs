@@ -1,13 +1,20 @@
-//! The socket fabric's worker side: a blocking stream (Unix-domain or TCP
-//! loopback) speaking the control-frame protocol of [`super::frame`].
+//! The socket fabric: a stream (Unix-domain or TCP loopback) speaking the
+//! control-frame protocol of [`super::frame`], shared by both ends.
 //!
-//! Workers use plain blocking I/O with a read timeout — the nonblocking
-//! readiness loop lives hub-side in `crate::orchestrator`, where one
-//! process watches N sockets. A worker watches exactly one.
+//! Every connected socket, hub-side and worker-side, gets one blocking
+//! reader thread (`spawn_reader`). It reads the stream into a
+//! [`FrameBuf`] and hands each decoded [`CtrlFrame`] to an `mpsc` channel,
+//! so the consumer waits on a channel with `recv_timeout` — a futex wait
+//! with an exact timeout — instead of a socket read timeout, which the
+//! kernel rounds up to a whole scheduler tick. Writes stay on the owning
+//! thread as plain blocking `write_all` calls. Teardown shuts the socket
+//! down in both directions, which wakes the reader with EOF, and joins it.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rcv_simnet::NodeId;
@@ -39,7 +46,7 @@ impl SocketNet {
 }
 
 /// A connected stream of either family. All I/O the fabric needs, with
-/// uniform timeout/nonblocking control.
+/// uniform timeout and shutdown control.
 pub(crate) enum SocketStream {
     Tcp(TcpStream),
     Unix(UnixStream),
@@ -63,6 +70,14 @@ impl SocketStream {
         }
     }
 
+    /// A second handle on the same socket (for the reader thread).
+    pub(crate) fn try_clone(&self) -> std::io::Result<SocketStream> {
+        Ok(match self {
+            SocketStream::Tcp(s) => SocketStream::Tcp(s.try_clone()?),
+            SocketStream::Unix(s) => SocketStream::Unix(s.try_clone()?),
+        })
+    }
+
     pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
         match self {
             SocketStream::Tcp(s) => s.set_read_timeout(t),
@@ -70,11 +85,20 @@ impl SocketStream {
         }
     }
 
-    pub(crate) fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
+    pub(crate) fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
         match self {
-            SocketStream::Tcp(s) => s.set_nonblocking(nb),
-            SocketStream::Unix(s) => s.set_nonblocking(nb),
+            SocketStream::Tcp(s) => s.set_write_timeout(t),
+            SocketStream::Unix(s) => s.set_write_timeout(t),
         }
+    }
+
+    /// Closes both directions; a reader blocked on any handle of this
+    /// socket wakes with EOF.
+    pub(crate) fn shutdown(&self) {
+        let _ = match self {
+            SocketStream::Tcp(s) => s.shutdown(Shutdown::Both),
+            SocketStream::Unix(s) => s.shutdown(Shutdown::Both),
+        };
     }
 
     pub(crate) fn read_chunk(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
@@ -90,13 +114,6 @@ impl SocketStream {
             SocketStream::Unix(s) => s.write_all(bytes),
         }
     }
-
-    pub(crate) fn write_some(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        match self {
-            SocketStream::Tcp(s) => s.write(bytes),
-            SocketStream::Unix(s) => s.write(bytes),
-        }
-    }
 }
 
 pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
@@ -106,6 +123,59 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// What a reader thread hands its consumer.
+#[derive(Debug)]
+pub(crate) enum Inbound {
+    /// One decoded frame.
+    Frame(CtrlFrame),
+    /// The byte stream stopped decoding; the reader has exited, since
+    /// nothing after a corrupt frame can be trusted.
+    Corrupt(WireError),
+    /// EOF or a read error: nothing more will arrive.
+    Closed,
+}
+
+/// Spawns the blocking reader thread for one socket. It decodes frames
+/// out of `fb` (bytes left over from the handshake first) and the
+/// stream, and sends each as `wrap(Inbound)` until EOF, a corrupt frame,
+/// or a hung-up consumer. The read buffer is small: frames are hundreds
+/// of bytes, and a larger one simply takes several reads.
+pub(crate) fn spawn_reader<T: Send + 'static>(
+    name: String,
+    mut stream: SocketStream,
+    mut fb: FrameBuf,
+    tx: Sender<T>,
+    wrap: impl Fn(Inbound) -> T + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    // The handshake read with a timeout; the reader blocks for good.
+    stream.set_read_timeout(None)?;
+    std::thread::Builder::new().name(name).spawn(move || {
+        let mut buf = [0u8; 4096];
+        loop {
+            loop {
+                let event = match fb.next_frame() {
+                    Ok(Some(f)) => Inbound::Frame(f),
+                    Ok(None) => break,
+                    Err(e) => {
+                        let _ = tx.send(wrap(Inbound::Corrupt(e)));
+                        return;
+                    }
+                };
+                if tx.send(wrap(event)).is_err() {
+                    return;
+                }
+            }
+            match stream.read_chunk(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => fb.extend(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        let _ = tx.send(wrap(Inbound::Closed));
+    })
+}
+
 /// The socket-backed [`Transport`]: one worker's connection to the hub.
 /// Protocol messages cross as [`WireCodec`] bytes inside `Send`/`Deliver`
 /// frames; the codec runs on **every** hop by construction (there is no
@@ -113,23 +183,33 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
 pub struct SocketTransport<M> {
     me: NodeId,
     stream: SocketStream,
-    fb: FrameBuf,
-    read_buf: Vec<u8>,
+    rx: Receiver<Inbound>,
+    reader: Option<JoinHandle<()>>,
     /// First fatal wire/frame error, kept for the worker's Fault report.
     fatal: Option<WireError>,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
 impl<M: WireCodec> SocketTransport<M> {
-    pub(crate) fn new(me: NodeId, stream: SocketStream, fb: FrameBuf) -> Self {
-        SocketTransport {
+    /// Takes over a handshaken connection; `fb` holds any bytes read past
+    /// the handshake.
+    pub(crate) fn new(me: NodeId, stream: SocketStream, fb: FrameBuf) -> std::io::Result<Self> {
+        let (tx, rx) = mpsc::channel();
+        let reader = spawn_reader(
+            format!("rcv-worker-{}-reader", me.raw()),
+            stream.try_clone()?,
+            fb,
+            tx,
+            |event| event,
+        )?;
+        Ok(SocketTransport {
             me,
             stream,
-            fb,
-            read_buf: vec![0u8; 64 * 1024],
+            rx,
+            reader: Some(reader),
             fatal: None,
             _marker: std::marker::PhantomData,
-        }
+        })
     }
 
     /// The first fatal decode error this transport hit, if any.
@@ -158,6 +238,15 @@ impl<M: WireCodec> SocketTransport<M> {
     }
 }
 
+impl<M> Drop for SocketTransport<M> {
+    fn drop(&mut self) {
+        self.stream.shutdown();
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
 impl<M: WireCodec + Send> Transport<M> for SocketTransport<M> {
     fn send(&mut self, to: NodeId, msg: M, delay: Duration) -> Result<(), TransportClosed> {
         let frame = CtrlFrame::Send {
@@ -171,9 +260,9 @@ impl<M: WireCodec + Send> Transport<M> for SocketTransport<M> {
     fn recv(&mut self, timeout: Duration) -> RecvOutcome<M> {
         let deadline = Instant::now() + timeout;
         loop {
-            // Drain already-buffered frames before touching the socket.
-            match self.fb.next_frame() {
-                Ok(Some(CtrlFrame::Deliver { from, payload })) => {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match self.rx.recv_timeout(wait) {
+                Ok(Inbound::Frame(CtrlFrame::Deliver { from, payload })) => {
                     return match M::decode_wire(payload) {
                         Ok(msg) => RecvOutcome::Msg {
                             from: NodeId::new(from),
@@ -182,35 +271,18 @@ impl<M: WireCodec + Send> Transport<M> for SocketTransport<M> {
                         Err(e) => self.fail(e),
                     };
                 }
-                Ok(Some(CtrlFrame::Shutdown)) => return RecvOutcome::Shutdown,
-                Ok(Some(CtrlFrame::Reject { .. })) => return RecvOutcome::Shutdown,
+                Ok(Inbound::Frame(CtrlFrame::Shutdown | CtrlFrame::Reject { .. })) => {
+                    return RecvOutcome::Shutdown
+                }
                 // Any other frame is hub-bound only; arriving here means a
                 // confused hub. Ignore rather than wedge the node.
-                Ok(Some(_)) => continue,
-                Ok(None) => {}
-                Err(e) => return self.fail(e),
-            }
-            let now = Instant::now();
-            let remaining = deadline.saturating_duration_since(now);
-            if remaining.is_zero() && self.fb.pending() == 0 {
-                return RecvOutcome::Timeout;
-            }
-            // A zero read timeout means "block forever" to the kernel;
-            // clamp to keep the loop honest.
-            let wait = remaining.max(Duration::from_micros(100));
-            if self.stream.set_read_timeout(Some(wait)).is_err() {
-                return RecvOutcome::Shutdown;
-            }
-            match self.stream.read_chunk(&mut self.read_buf) {
-                Ok(0) => return RecvOutcome::Shutdown, // hub gone
-                Ok(n) => self.fb.extend(&self.read_buf[..n]),
-                Err(e) if is_timeout(&e) => {
-                    if Instant::now() >= deadline {
-                        return RecvOutcome::Timeout;
-                    }
+                Ok(Inbound::Frame(_)) => {}
+                Ok(Inbound::Corrupt(e)) => return self.fail(e),
+                // Hub gone.
+                Ok(Inbound::Closed) | Err(RecvTimeoutError::Disconnected) => {
+                    return RecvOutcome::Shutdown
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return RecvOutcome::Shutdown,
+                Err(RecvTimeoutError::Timeout) => return RecvOutcome::Timeout,
             }
         }
     }
@@ -219,5 +291,34 @@ impl<M: WireCodec + Send> Transport<M> for SocketTransport<M> {
         let _ = self.send_frame(&CtrlFrame::Done {
             node: self.me.raw(),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rcv_baselines::LpMessage;
+
+    /// A short receive wait on an idle socket must end close to its
+    /// timeout, not a whole scheduler tick later (4 ms at `HZ=250`). The
+    /// median keeps a loaded host from flaking the test.
+    #[test]
+    fn short_recv_timeout_is_not_rounded_up_to_a_tick() {
+        let (ours, _hub) = UnixStream::pair().expect("socketpair");
+        let mut t: SocketTransport<LpMessage> =
+            SocketTransport::new(NodeId::new(0), SocketStream::Unix(ours), FrameBuf::new())
+                .expect("transport");
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert!(matches!(
+                    t.recv(Duration::from_micros(200)),
+                    RecvOutcome::Timeout
+                ));
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[10] < Duration::from_millis(2), "median {:?}", took[10]);
     }
 }
