@@ -4,15 +4,26 @@
 //! being FIFO, exactly the property the RCV algorithm claims not to need)
 //! and, optionally, wire-level faults mirroring the simulator's
 //! `FaultPlan`: message loss, duplicated delivery and per-endpoint
-//! straggler slowdowns, all applied by the network thread.
+//! straggler slowdowns.
+//!
+//! Every message takes one path. The sending node thread runs the wire
+//! hook and submits the message to the cluster's shared fault queue,
+//! which applies the faults and schedules the surviving deliveries. Still
+//! under the queue's lock, the sender moves every delivery that is
+//! already due into its destination inbox. A delivery due later waits in
+//! the queue until the timer thread, which sleeps until the earliest due
+//! time, delivers it. With no delay and no faults a message is in its
+//! destination inbox when `send` returns, and the timer never wakes.
 //!
 //! Topology:
 //!
 //! ```text
-//! node thread 0 ─┐                        ┌─▶ node inbox 0
-//! node thread 1 ─┼─▶ network thread ──────┼─▶ node inbox 1
-//!      ...       │   (delay heap,         └─▶ ...
-//! node thread N ─┘    loss/dup/straggler)
+//! node thread 0 ─┐                                     ┌─▶ node inbox 0
+//! node thread 1 ─┼─▶ hook ─▶ fault queue ─▶ due now ───┼─▶ node inbox 1
+//!      ...       │          (delay heap,               └─▶ ...
+//! node thread N ─┘           loss/dup/straggler,           ▲
+//!                            crash window)                 │
+//!                                 └─▶ due later ─▶ timer thread
 //! ```
 //!
 //! Each node thread owns its protocol state machine, issues its workload's
@@ -26,15 +37,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rcv_simnet::{MutexProtocol, NodeId};
 
 use crate::checker::CsChecker;
 use crate::node::{NodeDriver, NodeOutcome, NodeParams};
-use crate::transport::chan::{ChanTransport, Packet, Submitted};
-use crate::transport::netq::FaultQueue;
+use crate::transport::chan::{ChanNet, ChanTransport, Packet};
 use crate::watchdog::StatusCell;
 
 /// Per-message network impairment.
@@ -79,14 +89,14 @@ impl NetDelay {
     }
 }
 
-/// Wire-level fault injection, applied by the network thread — the
-/// real-concurrency mirror of `rcv_simnet::FaultPlan` (minus *permanent*
+/// Wire-level fault injection, applied by the cluster's fault queue as
+/// each message is sent — the real-concurrency mirror of `rcv_simnet::FaultPlan` (minus *permanent*
 /// crash-stop, which has no faithful analogue while every node thread
 /// must join; bounded crash **windows** do map — see
 /// [`WireFaults::with_crash_restart`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireFaults {
-    /// Every `k`-th message crossing the network thread is dropped.
+    /// Every `k`-th message submitted to the fabric is dropped.
     pub loss_every: Option<u64>,
     /// Every `k`-th delivered message is delivered twice (the duplicate
     /// arrives later, after an extra delay).
@@ -97,7 +107,7 @@ pub struct WireFaults {
     pub straggler: Option<(u32, u32)>,
     /// `(node index, down_ticks, up_ticks)`: a bounded outage measured
     /// from cluster start on the [`ClusterSpec::tick`] scale. During the
-    /// window the network black-holes every delivery to the node (counted
+    /// window the fabric black-holes every delivery due to the node (counted
     /// in [`ClusterReport::crash_dropped`], separately from loss), the
     /// node thread freezes — aborting a held CS, which evicts it from the
     /// checker — and at the window's end the thread re-runs the protocol's
@@ -286,7 +296,7 @@ pub struct ClusterReport {
     pub cs_entries: u64,
     /// Mutual exclusion violations (0 ⇔ safe).
     pub violations: u64,
-    /// Messages that crossed the network thread.
+    /// Messages the nodes sent.
     pub messages: u64,
     /// Messages dropped by wire-level loss injection.
     pub lost: u64,
@@ -355,15 +365,15 @@ where
         .crash_restart
         .map(|(node, down, up)| (node as usize, start + tickify(down), start + tickify(up)));
 
-    // Network thread.
-    let (net_tx, net_rx) = unbounded::<Submitted<P::Message>>();
-    let net_out: Vec<Sender<Packet<P::Message>>> = inbox_tx.clone();
-    let hook = spec.wire_hook.clone();
-    let faults = spec.faults;
-    let net_handle = std::thread::Builder::new()
-        .name("rcv-net".into())
-        .spawn(move || network_thread(net_rx, net_out, hook, faults, crash_win))
-        .expect("spawn network thread");
+    // The shared fabric: senders deliver what is due themselves; the
+    // timer thread delivers the rest as it falls due. It exits once no
+    // transport is open, so it is spawned after all of them exist.
+    let net = ChanNet::new(
+        inbox_tx.clone(),
+        spec.wire_hook.clone(),
+        spec.faults,
+        crash_win,
+    );
 
     // Done notifications.
     let (done_tx, done_rx) = unbounded::<NodeId>();
@@ -376,7 +386,7 @@ where
         let me = NodeId::new(idx as u32);
         let proto = make_node(me, n);
         let rng = SmallRng::seed_from_u64(seeder.gen());
-        let transport = ChanTransport::new(me, net_tx.clone(), rx, done_tx.clone());
+        let transport = ChanTransport::new(me, Arc::clone(&net), rx, done_tx.clone());
         let params = NodeParams {
             rounds: spec.rounds,
             think: spec.think,
@@ -407,8 +417,11 @@ where
                 .expect("spawn node thread"),
         );
     }
-    drop(net_tx);
     drop(done_tx);
+    let timer_handle = std::thread::Builder::new()
+        .name("rcv-net".into())
+        .spawn(move || net.run_timer(&StatusCell::register("rcv-net")))
+        .expect("spawn timer thread");
 
     // Wait for every node to finish its rounds (or time out).
     let deadline = Instant::now() + spec.timeout;
@@ -430,7 +443,7 @@ where
         }
     }
 
-    // Tear down: stop node threads, then the network drains and exits.
+    // Tear down: stop node threads, then the timer drains and exits.
     // Node panics (protocol bugs, codec failures) must surface, not be
     // swallowed into a mystery timeout.
     for tx in &inbox_tx {
@@ -450,7 +463,7 @@ where
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
-    let (lost, duplicated, net_crash_dropped) = match net_handle.join() {
+    let (lost, duplicated, net_crash_dropped) = match timer_handle.join() {
         Ok(counters) => counters,
         Err(panic) => std::panic::resume_unwind(panic),
     };
@@ -462,70 +475,13 @@ where
         messages: totals.messages,
         lost,
         duplicated,
-        // The network black-holes in-window deliveries; the node-side
+        // The fabric black-holes in-window deliveries; the node-side
         // inbox drain at the crash instant adds the already-delivered ones.
         crash_dropped: net_crash_dropped + totals.crash_dropped,
         restarts: totals.restarts,
         timed_out,
     };
     (report, nodes)
-}
-
-/// Routes node-submitted messages through the shared [`FaultQueue`]
-/// (delays, loss, duplication, stragglers, crash-window black-holing) and
-/// delivers what survives. Returns `(lost, duplicated, crash_dropped)`.
-fn network_thread<M: Clone>(
-    rx: Receiver<Submitted<M>>,
-    out: Vec<Sender<Packet<M>>>,
-    hook: Option<WireHook<M>>,
-    faults: WireFaults,
-    crash_win: Option<(usize, Instant, Instant)>,
-) -> (u64, u64, u64) {
-    let status = StatusCell::register("rcv-net");
-    let mut q: FaultQueue<M> = FaultQueue::new(faults, crash_win);
-    let mut disconnected = false;
-    loop {
-        // Deliver everything due.
-        let now = Instant::now();
-        while let Some((from, to, msg)) = q.pop_due(now) {
-            let msg = match &hook {
-                Some(h) => h(msg),
-                None => msg,
-            };
-            status.bump();
-            // A closed inbox just means that node already shut down.
-            let _ = out[to].send(Packet::Msg {
-                from: NodeId::new(from as u32),
-                msg,
-            });
-        }
-        if disconnected && q.is_empty() {
-            return (q.lost, q.duplicated, q.crash_dropped);
-        }
-        let wait = q
-            .next_due()
-            .map(|due| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        if disconnected {
-            std::thread::sleep(wait);
-            continue;
-        }
-        match rx.recv_timeout(wait.max(Duration::from_micros(100))) {
-            Ok(Submitted { env, delay }) => {
-                status.bump();
-                q.submit(env.from.index(), env.to.index(), delay, env.msg);
-                // Periodic status only: formatting per message would put
-                // an allocation in the cluster's single serialization
-                // point (StatusCell's own contract: transitions, not
-                // events — progress is visible through bump()).
-                if q.seen() % 1024 == 1 {
-                    status.set(format!("in-flight {} (seen {})", q.in_flight(), q.seen()));
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => disconnected = true,
-        }
-    }
 }
 
 #[cfg(test)]

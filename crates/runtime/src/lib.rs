@@ -2,10 +2,13 @@
 //!
 //! The simulator in `rcv-simnet` validates the protocols deterministically;
 //! this crate validates them under *real* concurrency. Every node of the
-//! distributed system becomes an OS thread with a crossbeam-channel inbox;
-//! a network thread injects per-message random delays (making channels
-//! non-FIFO, the condition the RCV paper claims to tolerate); a shared
-//! [`CsChecker`] observes every CS entry/exit.
+//! distributed system becomes an OS thread with a crossbeam-channel inbox.
+//! The sending thread puts every message through a shared fault queue
+//! that injects per-message random delays (making channels non-FIFO, the
+//! condition the RCV paper claims to tolerate) and delivers what is
+//! already due straight into the destination inbox; a timer thread
+//! delivers delayed messages as they fall due. A shared [`CsChecker`]
+//! observes every CS entry/exit.
 //!
 //! There is deliberately **no shared memory between protocol nodes** — the
 //! paper's system model (§3) — and the [`wire`] module goes one step

@@ -13,13 +13,12 @@
 //! 2. **Start** — each accepted worker receives its [`WorkerConfig`]
 //!    (workload, timing, seed, crash window, shared CS-log path).
 //! 3. **Serve** — one blocking reader thread per worker socket decodes
-//!    frames into a single channel. The serve loop has the in-process
-//!    network thread's shape: deliver what is due, then block on that
-//!    channel until a frame arrives or the next due delivery, the
-//!    kill-drill instant or the deadline comes. `Send` frames go through
-//!    the same `FaultQueue` (in `transport::netq`) the network thread
-//!    uses, so loss/duplication/straggler/crash-window semantics are
-//!    identical across backends. Deliveries are blocking writes whose
+//!    frames into a single channel. The serve loop delivers what is due,
+//!    then blocks on that channel until a frame arrives or the next due
+//!    delivery, the kill-drill instant or the deadline comes. `Send`
+//!    frames go through the same `FaultQueue` (in `transport::netq`) the
+//!    in-process fabric uses, so loss/duplication/straggler/crash-window
+//!    semantics are identical across backends. Deliveries are blocking writes whose
 //!    timeout never reaches past the run deadline, so a worker that stops
 //!    reading costs at most one socket buffer and ends the run in a
 //!    verdict. Mutual exclusion is checked *post hoc* by replaying the
@@ -573,7 +572,13 @@ pub fn run_process_cluster(
                 payload,
             }) => {
                 if (to as usize) < n {
-                    q.submit(i, to as usize, Duration::from_micros(delay_us), payload);
+                    q.submit(
+                        i,
+                        to as usize,
+                        Duration::from_micros(delay_us),
+                        payload,
+                        Instant::now(),
+                    );
                 }
             }
             Inbound::Frame(CtrlFrame::Done { .. }) => slot.done = true,

@@ -7,9 +7,11 @@
 //! announcement. The node driver in `crate::node` is written against this
 //! trait alone, so the same protocol-driving code runs on both fabrics:
 //!
-//! * [`ChanTransport`] — the original in-process fabric: crossbeam
-//!   channels into a network thread (delay heap + fault injection).
-//!   Behavior-preserving with the pre-trait cluster.
+//! * [`ChanTransport`] — the in-process fabric: the sending thread puts
+//!   each message through the cluster's shared `FaultQueue` (delay heap +
+//!   fault injection) and moves what is already due straight into the
+//!   destination's crossbeam inbox; a timer thread delivers the rest as
+//!   it falls due.
 //! * [`SocketTransport`] — a real socket (Unix-domain or TCP loopback) to
 //!   the orchestrator hub; every message crosses as length-prefixed
 //!   [`WireCodec`](crate::wire::WireCodec) bytes inside a control frame,
@@ -20,6 +22,10 @@
 //! the socket fabric a blocking reader thread per socket, on each end,
 //! turns the byte stream into frames on such a channel.
 //!
+//! The two fabrics apply faults in the same `FaultQueue`, owned
+//! differently: on the thread fabric the node threads and the timer
+//! thread share it under one lock; on the socket fabric the hub owns it.
+//!
 //! ```text
 //!                Transport::send / recv / notify_done
 //!                      │                      │
@@ -27,7 +33,8 @@
 //!                      │            write_all ↓   ↑ reader thread → channel
 //!                      │              socket (UDS / TCP), one per worker
 //!                      │  channel ← reader thread ↓   ↑ write_all
-//!          network thread (threads)    orchestrator hub (processes)
+//!     sending thread + timer thread    orchestrator hub (processes)
+//!      (threads, under one lock)
 //!              FaultQueue ─────────────── FaultQueue
 //! ```
 

@@ -1,10 +1,10 @@
 //! The fault-injecting delay queue shared by both fabrics.
 //!
-//! The in-process network thread and the multi-process orchestrator hub
+//! The in-process channel fabric and the multi-process orchestrator hub
 //! schedule deliveries through the same [`FaultQueue`], so loss,
 //! duplication, straggler stretching and crash-window black-holing behave
 //! identically whether a message rides a crossbeam channel or a socket.
-//! The payload type is generic: the network thread queues typed protocol
+//! The payload type is generic: the channel fabric queues typed protocol
 //! messages, the hub queues already-encoded frames.
 
 use std::cmp::Reverse;
@@ -71,10 +71,17 @@ impl<T: Clone> FaultQueue<T> {
         }
     }
 
-    /// Submits one message to the fabric: applies straggler stretching,
-    /// then loss, then duplication (in the network thread's historical
+    /// Submits one message to the fabric at `now`: applies straggler
+    /// stretching, then loss, then duplication (the fabrics' historical
     /// order), and schedules the surviving deliveries.
-    pub(crate) fn submit(&mut self, from: usize, to: usize, mut delay: Duration, payload: T) {
+    pub(crate) fn submit(
+        &mut self,
+        from: usize,
+        to: usize,
+        mut delay: Duration,
+        payload: T,
+        now: Instant,
+    ) {
         self.seen += 1;
         if let Some((node, factor)) = self.faults.straggler {
             let node = node as usize;
@@ -90,7 +97,6 @@ impl<T: Clone> FaultQueue<T> {
             self.lost += 1;
             return;
         }
-        let now = Instant::now();
         if self
             .faults
             .dup_every
@@ -159,10 +165,10 @@ mod tests {
         let mut q: FaultQueue<u32> =
             FaultQueue::new(WireFaults::none().with_loss(3).with_duplication(2), None);
         for i in 0..6u32 {
-            q.submit(0, 1, Duration::ZERO, i);
+            q.submit(0, 1, Duration::ZERO, i, Instant::now());
         }
         // seen 1..6: loss at 3 and 6 (2 lost); dup at 2 and 4 (6 is lost
-        // before the dup check — the network thread's historical order).
+        // before the dup check — the fabrics' historical order).
         assert_eq!(q.lost, 2);
         assert_eq!(q.duplicated, 2);
         assert_eq!(q.in_flight(), 6, "4 survivors + 2 duplicates");
@@ -180,8 +186,8 @@ mod tests {
                 now + Duration::from_secs(60),
             )),
         );
-        q.submit(0, 1, Duration::ZERO, "to-dead");
-        q.submit(0, 2, Duration::ZERO, "to-live");
+        q.submit(0, 1, Duration::ZERO, "to-dead", now);
+        q.submit(0, 2, Duration::ZERO, "to-live", now);
         let later = Instant::now() + Duration::from_millis(1);
         let mut delivered = Vec::new();
         while let Some((_, to, p)) = q.pop_due(later) {
@@ -195,8 +201,8 @@ mod tests {
     fn straggler_stretches_due_times() {
         let mut q: FaultQueue<u8> =
             FaultQueue::new(WireFaults::none().with_straggler(0, 100), None);
-        q.submit(0, 1, Duration::from_millis(10), 1); // from the straggler: 1s
-        q.submit(1, 2, Duration::from_millis(10), 2); // unaffected: 10ms
+        q.submit(0, 1, Duration::from_millis(10), 1, Instant::now()); // from the straggler: 1s
+        q.submit(1, 2, Duration::from_millis(10), 2, Instant::now()); // unaffected: 10ms
         let soon = Instant::now() + Duration::from_millis(500);
         let mut got = Vec::new();
         while let Some((_, _, p)) = q.pop_due(soon) {

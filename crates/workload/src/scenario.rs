@@ -335,11 +335,11 @@ impl From<&FaultSpec> for FaultPlan {
 impl TryFrom<&FaultSpec> for rcv_runtime::WireFaults {
     type Error = String;
 
-    /// The runtime-side rendering, applied at the fabric boundary (channel
-    /// network thread or orchestrator hub). Partial: a **permanent**
-    /// crash-stop ([`FaultSpec::Crash`]) needs a node to vanish forever,
-    /// which neither joinable threads nor watched worker processes can
-    /// express — only bounded crash *windows* map.
+    /// The runtime-side rendering, applied at the fabric boundary (the
+    /// thread fabric's shared fault queue or the orchestrator hub).
+    /// Partial: a **permanent** crash-stop ([`FaultSpec::Crash`]) needs a
+    /// node to vanish forever, which neither joinable threads nor watched
+    /// worker processes can express — only bounded crash *windows* map.
     fn try_from(spec: &FaultSpec) -> Result<rcv_runtime::WireFaults, String> {
         use rcv_runtime::WireFaults;
         let narrow = |factor: u64| -> Result<u32, String> {
@@ -558,10 +558,10 @@ impl ScenarioSpec {
     /// heterogeneous / time-varying and stay simulator-only; *permanent*
     /// crash-stop cells need a node to vanish forever, which a joinable
     /// thread cannot. Bounded crash *windows* DO map: the runtime's
-    /// network thread black-holes the node's traffic for the window and
+    /// fabric black-holes the node's traffic for the window and
     /// the node thread re-runs its protocol's restart hook at the end.
     /// Size is also a boundary: the runtime is thread-per-node (plus a
-    /// network thread), so the large-N `scale-*` cells would spawn
+    /// timer thread), so the large-N `scale-*` cells would spawn
     /// hundreds-to-thousands of OS threads and measure the host scheduler
     /// rather than the protocol — they stay simulator-only.
     pub fn runtime_mappable(&self) -> bool {
